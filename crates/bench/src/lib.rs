@@ -426,8 +426,9 @@ pub struct EngineComparison {
 /// Exercises the `hat-engine` subsystem: a cold naive-enumeration baseline, a cold
 /// unpruned baseline, then sequential and parallel incremental runs, each with a cold
 /// and a warm (same-engine) cache. With `include_slow` false the configurations marked
-/// `slow` in the suite (whose minterm alphabets make a single cold naive run take tens
-/// of minutes) are excluded and recorded in [`EngineComparison::skipped`].
+/// `slow` in the suite (whose minterm alphabets make a single cold naive run of
+/// FileSystem/KVStore take ~20 s, release on a 2-vCPU VM) are excluded and recorded in
+/// [`EngineComparison::skipped`].
 pub fn engine_comparison(benches: &[Benchmark], include_slow: bool) -> EngineComparison {
     let (included, skipped): (Vec<&Benchmark>, Vec<&Benchmark>) =
         benches.iter().partition(|b| include_slow || !b.slow);

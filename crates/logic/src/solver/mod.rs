@@ -46,7 +46,7 @@ mod theory;
 
 pub use cnf::{CnfBuilder, Lit};
 pub use sat::SatSolver;
-pub use theory::TheoryCheck;
+use theory::TheoryCheck;
 
 use crate::axioms::AxiomSet;
 use crate::formula::{Atom, Formula};
@@ -70,6 +70,9 @@ pub struct SolverStats {
     pub time: Duration,
     /// Number of theory (congruence/difference-bound) consistency checks performed.
     pub theory_checks: usize,
+    /// Number of full theory evaluations of a literal set behind those checks,
+    /// including the ones made while minimising conflict cores.
+    pub theory_evals: usize,
     /// Number of incremental checks answered by scoped sessions ([`Solver::scoped`]).
     /// These are *not* counted in `queries`: a scoped check reuses a preprocessed CNF
     /// and is orders of magnitude cheaper than a standalone query.
@@ -173,7 +176,9 @@ impl Solver {
         let mut builder = CnfBuilder::new();
         let root = builder.encode(&final_formula);
         builder.assert_lit(root);
-        let atoms = builder.atoms().to_vec();
+        let mut theory =
+            TheoryCheck::new(builder.atoms().iter().map(|(a, _)| a), &env, &self.axioms);
+        let atom_vars: Vec<usize> = builder.atoms().iter().map(|(_, var)| *var).collect();
         let mut sat = SatSolver::new(builder.num_vars(), builder.take_clauses());
 
         // Lazy theory loop.
@@ -182,24 +187,13 @@ impl Solver {
                 None => return false,
                 Some(model) => {
                     self.stats.theory_checks += 1;
-                    let lits: Vec<(Atom, bool)> = atoms
-                        .iter()
-                        .filter_map(|(atom, var)| model.get(*var).map(|b| (atom.clone(), b)))
-                        .collect();
-                    let check = TheoryCheck::new(&env, &self.axioms);
-                    match check.consistent(&lits) {
+                    let verdict = theory.consistent(&assigned_atoms(&atom_vars, &model));
+                    self.stats.theory_evals += theory.take_evals();
+                    match verdict {
                         Ok(()) => return true,
                         Err(core) => {
                             // Block this (partial) assignment.
-                            let clause: Vec<Lit> = core
-                                .iter()
-                                .filter_map(|(atom, val)| {
-                                    atoms.iter().find(|(a, _)| a == atom).map(|(_, var)| Lit {
-                                        var: *var,
-                                        positive: !*val,
-                                    })
-                                })
-                                .collect();
+                            let clause = blocking_clause(&atom_vars, &core);
                             if clause.is_empty() {
                                 return false;
                             }
@@ -403,13 +397,14 @@ impl Solver {
             .iter()
             .map(|a| builder.encode(&Formula::Atom(a.clone())).var)
             .collect();
-        let atoms = builder.atoms().to_vec();
+        let theory = TheoryCheck::new(builder.atoms().iter().map(|(a, _)| a), &env, &self.axioms);
+        let atom_vars = builder.atoms().iter().map(|(_, var)| *var).collect();
         let sat = SatSolver::new(builder.num_vars(), builder.take_clauses());
         ScopedSession {
             solver: self,
-            env,
             sat,
-            atoms,
+            theory,
+            atom_vars,
             literal_vars,
             assumptions: Vec::new(),
             base_false,
@@ -471,6 +466,26 @@ impl Solver {
     }
 }
 
+/// The theory literals a propositional model assigns: `(atom index, polarity)` for every
+/// atom whose variable the model sets.
+fn assigned_atoms(atom_vars: &[usize], model: &sat::Model) -> Vec<(usize, bool)> {
+    atom_vars
+        .iter()
+        .enumerate()
+        .filter_map(|(atom, var)| model.get(*var).map(|value| (atom, value)))
+        .collect()
+}
+
+/// The clause that blocks a theory conflict core.
+fn blocking_clause(atom_vars: &[usize], core: &[(usize, bool)]) -> Vec<Lit> {
+    core.iter()
+        .map(|&(atom, value)| Lit {
+            var: atom_vars[atom],
+            positive: !value,
+        })
+        .collect()
+}
+
 /// An incremental solving session opened with [`Solver::scoped`]: a fixed base formula,
 /// a pool of candidate literals, and a stack of assumed literal polarities.
 ///
@@ -480,9 +495,11 @@ impl Solver {
 /// between branches.
 pub struct ScopedSession<'a> {
     solver: &'a mut Solver,
-    env: BTreeMap<Ident, Sort>,
     sat: SatSolver,
-    atoms: Vec<(Atom, usize)>,
+    /// The theory checker over the session's atoms, built once.
+    theory: TheoryCheck,
+    /// The propositional variable of each theory atom, index-aligned with `theory`.
+    atom_vars: Vec<usize>,
     literal_vars: Vec<usize>,
     assumptions: Vec<Lit>,
     base_false: bool,
@@ -577,13 +594,11 @@ impl ScopedSession<'_> {
                 None => return None,
                 Some(model) => {
                     self.solver.stats.theory_checks += 1;
-                    let lits: Vec<(Atom, bool)> = self
-                        .atoms
-                        .iter()
-                        .filter_map(|(atom, var)| model.get(*var).map(|b| (atom.clone(), b)))
-                        .collect();
-                    let check = TheoryCheck::new(&self.env, &self.solver.axioms);
-                    match check.consistent(&lits) {
+                    let verdict = self
+                        .theory
+                        .consistent(&assigned_atoms(&self.atom_vars, &model));
+                    self.solver.stats.theory_evals += self.theory.take_evals();
+                    match verdict {
                         Ok(()) => {
                             return Some(
                                 self.literal_vars
@@ -598,17 +613,7 @@ impl ScopedSession<'_> {
                             // A theory conflict is assumption-independent: the blocked
                             // assignment is inconsistent with the theory itself, so the
                             // learned clause is sound for every later check too.
-                            let clause: Vec<Lit> =
-                                core.iter()
-                                    .filter_map(|(atom, val)| {
-                                        self.atoms.iter().find(|(a, _)| a == atom).map(
-                                            |(_, var)| Lit {
-                                                var: *var,
-                                                positive: !*val,
-                                            },
-                                        )
-                                    })
-                                    .collect();
+                            let clause = blocking_clause(&self.atom_vars, &core);
                             if clause.is_empty() {
                                 return None;
                             }

@@ -211,8 +211,8 @@ fn filesystem_kvstore() -> Benchmark {
         delta: kvstore_delta(),
         model: kvstore_model(),
         methods,
-        // ~1.6 min cold in release with the pruned incremental pipeline (PR 3), but the
-        // naive-enumeration baseline is still >84 CPU-min, which would dominate
+        // ~2.2 s cold in release with the default incremental pipeline, but ~20 s with
+        // the naive-enumeration baseline (both on a 2-vCPU VM), which would dominate
         // `table1 --full` and the debug test budget.
         slow: true,
     }

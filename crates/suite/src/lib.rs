@@ -79,9 +79,8 @@ pub struct Benchmark {
     pub methods: Vec<Method>,
     /// Whether a cold check of the configuration is expensive enough that the benchmark
     /// harness and snapshot tests exclude it by default (only `FileSystem/KVStore`
-    /// remains flagged: its *naive* enumeration baseline is infeasible in this
-    /// environment, though the incremental pruned pipeline verifies it in ~1.6 min
-    /// release).
+    /// remains flagged: the default pipeline verifies it cold in ~2.2 s release, but its
+    /// *naive* enumeration baseline takes ~20 s, both measured on a 2-vCPU VM).
     pub slow: bool,
 }
 
